@@ -5,10 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rngkit::{FastRng, UnitUniform};
-use sketchcore::parallel::{
-    sketch_alg3_par_cols, sketch_alg3_par_rows, sketch_alg4_par_cols, sketch_alg4_par_rows,
-};
-use sketchcore::SketchConfig;
+use sketchcore::{sketch, Alg3, Alg4, Schedule, SketchConfig};
 use sparsekit::BlockedCsr;
 use std::hint::black_box;
 
@@ -20,18 +17,17 @@ fn bench(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("parallel_axis");
     g.sample_size(12);
-    g.bench_function("alg3_par_cols", |b| {
-        b.iter(|| black_box(sketch_alg3_par_cols(&a, &cfg, &sampler)))
-    });
-    g.bench_function("alg3_par_rows", |b| {
-        b.iter(|| black_box(sketch_alg3_par_rows(&a, &cfg, &sampler)))
-    });
-    g.bench_function("alg4_par_cols", |b| {
-        b.iter(|| black_box(sketch_alg4_par_cols(&blocked, &cfg, &sampler)))
-    });
-    g.bench_function("alg4_par_rows", |b| {
-        b.iter(|| black_box(sketch_alg4_par_rows(&blocked, &cfg, &sampler)))
-    });
+    for (name, schedule) in [
+        ("par_cols", Schedule::ParCols),
+        ("par_rows", Schedule::ParRows),
+    ] {
+        g.bench_function(format!("alg3_{name}"), |b| {
+            b.iter(|| black_box(sketch(Alg3(&a), schedule, &cfg, &sampler)))
+        });
+        g.bench_function(format!("alg4_{name}"), |b| {
+            b.iter(|| black_box(sketch(Alg4(&blocked), schedule, &cfg, &sampler)))
+        });
+    }
     g.finish();
 }
 

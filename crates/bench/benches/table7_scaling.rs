@@ -5,9 +5,9 @@
 //! Run: `cargo bench -p bench --bench table7_scaling`
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use parkit::with_threads;
 use rngkit::{FastRng, UnitUniform};
-use sketchcore::parallel::{sketch_alg3_par_rows, sketch_alg4_par_rows, with_threads};
-use sketchcore::SketchConfig;
+use sketchcore::{sketch, Alg3, Alg4, Schedule, SketchConfig};
 use sparsekit::BlockedCsr;
 use std::hint::black_box;
 
@@ -35,13 +35,17 @@ fn bench(c: &mut Criterion) {
     for &t in &threads {
         for (label, cfg) in [("setup1", &setup1), ("setup2", &setup2)] {
             g.bench_with_input(BenchmarkId::new(format!("alg3_{label}"), t), &t, |b, &t| {
-                b.iter(|| with_threads(t, || black_box(sketch_alg3_par_rows(a, cfg, &sampler))))
+                b.iter(|| {
+                    with_threads(t, || {
+                        black_box(sketch(Alg3(a), Schedule::ParRows, cfg, &sampler))
+                    })
+                })
             });
             let blocked = BlockedCsr::from_csc(a, cfg.b_n);
             g.bench_with_input(BenchmarkId::new(format!("alg4_{label}"), t), &t, |b, &t| {
                 b.iter(|| {
                     with_threads(t, || {
-                        black_box(sketch_alg4_par_rows(&blocked, cfg, &sampler))
+                        black_box(sketch(Alg4(&blocked), Schedule::ParRows, cfg, &sampler))
                     })
                 })
             });

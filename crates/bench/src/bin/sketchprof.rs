@@ -14,7 +14,7 @@ fn usage() -> ! {
 
 fn main() {
     use rngkit::{FastRng, UnitUniform};
-    use sketchcore::{sketch_alg3, sketch_alg3_par_cols, SketchConfig};
+    use sketchcore::{sketch, sketch_alg3, Alg3, Schedule, SketchConfig};
     let mut args = std::env::args().skip(1);
     let mut obs_json_cli: Option<String> = None;
     let mut trace = bench::tracecli::TraceOpts::default();
@@ -64,7 +64,7 @@ fn main() {
         let dt = t.elapsed().as_secs_f64();
         std::hint::black_box(&x);
         let t2 = std::time::Instant::now();
-        let y = sketch_alg3_par_cols(a, &cfg, &s);
+        let y = sketch(Alg3(a), Schedule::ParCols, &cfg, &s);
         let dt2 = t2.elapsed().as_secs_f64();
         std::hint::black_box(&y);
         let samples = d as f64 * a.nnz() as f64;

@@ -21,7 +21,7 @@
 use lstsq::sap::{try_solve_sap_with, RecoveryPolicy, SapFlavor, SapOptions};
 use lstsq::LsqrOptions;
 use rngkit::{FastRng, UnitUniform};
-use sketchcore::{try_sketch_alg3, try_sketch_alg3_par_cols, SketchConfig};
+use sketchcore::{try_sketch, try_sketch_alg3, Schedule, SketchConfig};
 use sparsekit::corrupt::{corrupt_csc, Corruption};
 use sparsekit::CscMatrix;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -73,7 +73,7 @@ impl Fault {
 pub enum Scenario {
     /// [`try_sketch_alg3`] (sequential).
     SketchSeq,
-    /// [`try_sketch_alg3_par_cols`] on 2 threads.
+    /// [`try_sketch`] over column panels on 2 threads.
     SketchPar,
     /// [`try_solve_sap_with`], QR flavour.
     SapQr,
@@ -302,7 +302,7 @@ fn run_scenario(scenario: Scenario, a: &CscMatrix<f64>) -> Result<String, String
             .map(|m| format!("sketch {}x{}", m.nrows(), m.ncols()))
             .map_err(|e| e.to_string()),
         Scenario::SketchPar => {
-            parkit::with_threads(2, || try_sketch_alg3_par_cols(a, &cfg, &sampler))
+            parkit::with_threads(2, || try_sketch(a, Schedule::ParCols, &cfg, &sampler, true))
                 .map(|m| format!("sketch {}x{}", m.nrows(), m.ncols()))
                 .map_err(|e| e.to_string())
         }

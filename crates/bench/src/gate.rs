@@ -218,12 +218,12 @@ pub fn suite(scale: usize) -> Vec<Scenario> {
         });
     }
 
-    // The service batcher's fusion, isolated from socket I/O: four
+    // The service batcher's kernel work, isolated from socket I/O: four
     // same-shape sketches run back to back (what an unbatched server does
-    // per connection) versus one multi-seed blocked pass over the operand
-    // (what the batcher coalesces them into). The pair is the kernel-level
-    // half of the PR-5 acceptance ratio; `loadgen --compare` measures the
-    // same fusion end to end over the wire.
+    // per connection) versus one `sketch_alg3_multi` call (the per-seed
+    // loop a batch runs). The pair should stay at ~1.0: the batching win is
+    // dispatch and syscall amortization, which `loadgen --compare` measures
+    // end to end over the wire.
     {
         let (a, cfg) = (a_tall.clone(), cfg3);
         out.push(Scenario {

@@ -3,10 +3,11 @@
 use crate::{fmt_g, fmt_s, gflops, print_table, time_median, RunConfig};
 use baselines::{csc_outer, eigen_style, materialize_s, mkl_style};
 use datagen::{abnormal_a, abnormal_b, abnormal_c, spmm_suite};
+use parkit::with_threads;
 use rngkit::{FastRng, Rademacher, UnitUniform};
-use sketchcore::parallel::{sketch_alg3_par_rows, sketch_alg4_par_rows, with_threads};
 use sketchcore::{
-    sketch_alg3, sketch_alg3_instrumented, sketch_alg4, sketch_alg4_instrumented, SketchConfig,
+    sketch, sketch_alg3, sketch_alg3_instrumented, sketch_alg4, sketch_alg4_instrumented, Alg3,
+    Alg4, Schedule, SketchConfig,
 };
 use sparsekit::{BlockedCsr, CscMatrix};
 use std::time::Instant;
@@ -289,11 +290,18 @@ pub fn table7(rc: &RunConfig) {
             let blocked = BlockedCsr::from_csc(a, cfg.b_n);
             let t4 = time_median(rc.reps, || {
                 with_threads(t, || {
-                    sketch_alg4_par_rows(&blocked, cfg, &uni_sampler(cfg.seed))
+                    sketch(
+                        Alg4(&blocked),
+                        Schedule::ParRows,
+                        cfg,
+                        &uni_sampler(cfg.seed),
+                    )
                 })
             });
             let t3 = time_median(rc.reps, || {
-                with_threads(t, || sketch_alg3_par_rows(a, cfg, &uni_sampler(cfg.seed)))
+                with_threads(t, || {
+                    sketch(Alg3(a), Schedule::ParRows, cfg, &uni_sampler(cfg.seed))
+                })
             });
             cells.push(fmt_s(t4));
             cells.push(fmt_g(gflops(d, nnz, t4)));

@@ -20,7 +20,7 @@ use crate::op::{CscOp, LinOp};
 use crate::precond::{Preconditioner, SvdPrecond};
 use densekit::ThinSvd;
 use rngkit::{FastRng, Gaussian, UnitUniform};
-use sketchcore::{sketch_alg3_par_cols, SketchConfig};
+use sketchcore::{Alg3, Schedule, SketchConfig};
 use sparsekit::CscMatrix;
 
 /// Which distribution fills the LSRN sketch.
@@ -75,11 +75,11 @@ pub fn solve_lsrn(
     let mut ahat = match sketch {
         LsrnSketch::Gaussian => {
             let sampler = Gaussian::<f64>::sampler(FastRng::new(seed));
-            sketch_alg3_par_cols(a, &cfg, &sampler)
+            sketchcore::sketch(Alg3(a), Schedule::ParCols, &cfg, &sampler)
         }
         LsrnSketch::Uniform => {
             let sampler = UnitUniform::<f64>::sampler(FastRng::new(seed));
-            let mut out = sketch_alg3_par_cols(a, &cfg, &sampler);
+            let mut out = sketchcore::sketch(Alg3(a), Schedule::ParCols, &cfg, &sampler);
             // Match Gaussian second moments: Var(unif(-1,1)) = 1/3.
             out.scale(3f64.sqrt());
             out

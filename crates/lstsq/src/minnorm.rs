@@ -14,7 +14,7 @@ use crate::lsqr::{lsqr, LsqrOptions, LsqrResult};
 use crate::op::LinOp;
 use densekit::{householder_qr_r, solve_upper, solve_upper_t, Matrix};
 use rngkit::{FastRng, UnitUniform};
-use sketchcore::{sketch_alg3_par_cols, SketchConfig};
+use sketchcore::{sketch, Alg3, Schedule, SketchConfig};
 use sparsekit::CscMatrix;
 
 /// Report of a minimum-norm solve.
@@ -82,7 +82,7 @@ pub fn solve_min_norm_sap(
     let d = gamma * m;
     let cfg = SketchConfig::new(d, b_d, b_n, seed);
     let sampler = UnitUniform::<f64>::sampler(FastRng::new(seed));
-    let mut ahat = sketch_alg3_par_cols(&at, &cfg, &sampler);
+    let mut ahat = sketch(Alg3(&at), Schedule::ParCols, &cfg, &sampler);
     ahat.scale(1.0 / ((d as f64) / 3.0).sqrt());
     let r = householder_qr_r(&ahat);
     drop(ahat);

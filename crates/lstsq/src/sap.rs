@@ -16,7 +16,7 @@ use crate::precond::{DiagPrecond, Preconditioner, SvdPrecond, UpperTriPrecond};
 use densekit::{householder_qr_r, Matrix, ThinSvd};
 use rngkit::{FastRng, UnitUniform};
 use sketchcore::error::panic_payload_to_string;
-use sketchcore::{sketch_alg3_par_cols, try_sketch_alg3_par_cols, SketchConfig, SketchError};
+use sketchcore::{sketch, try_sketch, Alg3, Schedule, SketchConfig, SketchError};
 use sparsekit::CscMatrix;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -106,7 +106,7 @@ pub fn solve_sap(a: &CscMatrix<f64>, b: &[f64], opts: &SapOptions) -> SapReport 
     let sampler = UnitUniform::<f64>::sampler(FastRng::new(opts.seed));
     let ahat = {
         let _sp = obskit::span("lstsq/sap/sketch");
-        sketch_alg3_par_cols(a, &cfg, &sampler)
+        sketch(Alg3(a), Schedule::ParCols, &cfg, &sampler)
     };
     // Normalize variance so σ(SQ) ≈ 1·‖Q‖: entries are uniform(-1,1) with
     // variance 1/3; divide by √(d/3) to make E‖S q‖² = ‖q‖².
@@ -289,7 +289,7 @@ fn sap_attempt(
     let sampler = UnitUniform::<f64>::sampler(FastRng::new(seed));
     let mut ahat = {
         let _sp = obskit::span("lstsq/sap/sketch");
-        try_sketch_alg3_par_cols(a, &cfg, &sampler)?
+        try_sketch(a, Schedule::ParCols, &cfg, &sampler, true)?
     };
     ahat.scale(1.0 / ((d as f64) / 3.0).sqrt());
     let sketch_s = t0.elapsed().as_secs_f64();

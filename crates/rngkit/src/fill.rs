@@ -20,7 +20,10 @@ pub struct SampleCost {
 }
 
 /// A positionable generator of sketch-matrix entries.
-pub trait BlockSampler<T> {
+///
+/// Samplers are plain values that each worker of a parallel sketch clones,
+/// so every sampler is `Send + Sync`: one driver then runs any schedule.
+pub trait BlockSampler<T>: Send + Sync {
     /// Seek to the checkpoint for `(block_row, col)` of `S` in O(1).
     fn set_state(&mut self, block_row: usize, col: usize);
 
@@ -61,8 +64,8 @@ impl<D, R> DistSampler<D, R> {
 impl<T, D, R> BlockSampler<T> for DistSampler<D, R>
 where
     T: Element,
-    D: Distribution<T>,
-    R: BlockRng,
+    D: Distribution<T> + Send + Sync,
+    R: BlockRng + Send + Sync,
 {
     #[inline(always)]
     fn set_state(&mut self, block_row: usize, col: usize) {

@@ -11,11 +11,86 @@
 //! Cost signature (paper §III-B): always draws `d·nnz(A)` samples — fast-RNG
 //! dependent, sparsity-pattern oblivious (Table VI).
 
-use crate::alg1;
+use crate::alg1::{sketch, Kernel, OuterBlock, Schedule, Window, Work};
 use crate::config::SketchConfig;
 use densekit::Matrix;
 use rngkit::{BlockSampler, ScaledInt};
 use sparsekit::{CscMatrix, Scalar};
+
+/// Algorithm 3 over a CSC operand, with entries of `S` in the operand's
+/// scalar type.
+#[derive(Clone, Copy, Debug)]
+pub struct Alg3<'a, T>(pub &'a CscMatrix<T>);
+
+/// Algorithm 3 over a CSC operand with iid ±1 entries of `S` generated as
+/// `i8` signs — the paper's cheapest distribution (Table II's "(±1)"
+/// column).
+#[derive(Clone, Copy, Debug)]
+pub struct Alg3Signs<'a, T>(pub &'a CscMatrix<T>);
+
+impl<T: Scalar, S: BlockSampler<T>> Kernel<T, S> for Alg3<'_, T> {
+    type Sample = T;
+    const PATHS: [&'static str; 3] = [
+        "sketch/alg3/block",
+        "sketch/alg3_par_cols/block",
+        "sketch/alg3_par_rows/block",
+    ];
+
+    fn shape(&self, cfg: &SketchConfig) -> (SketchConfig, usize) {
+        (*cfg, self.0.ncols())
+    }
+
+    #[inline]
+    fn block<W: Window<T>>(&self, b: OuterBlock, s: &mut S, _v: &mut [T], out: &mut W) -> Work {
+        // Algorithm 3 consumes each regenerated column of S exactly once, so
+        // generation and the d₁-long axpy are fused: samples go straight from
+        // the generator's registers into Â, never through a scratch vector.
+        let mut nnz = 0;
+        for k in b.j..b.j + b.n1 {
+            let (rows, vals) = self.0.col(k);
+            nnz += rows.len();
+            let out = out.seg(k, b.i, b.d1);
+            for (&j, &ajk) in rows.iter().zip(vals.iter()) {
+                s.set_state(b.i, j);
+                s.fill_axpy(ajk, out);
+            }
+        }
+        (nnz, None)
+    }
+}
+
+impl<T: Scalar, S: BlockSampler<i8>> Kernel<T, S> for Alg3Signs<'_, T> {
+    type Sample = i8;
+    const PATHS: [&'static str; 3] = [
+        "sketch/alg3_signs/block",
+        "sketch/alg3_signs_par_cols/block",
+        "sketch/alg3_signs_par_rows/block",
+    ];
+
+    fn shape(&self, cfg: &SketchConfig) -> (SketchConfig, usize) {
+        (*cfg, self.0.ncols())
+    }
+
+    #[inline]
+    fn block<W: Window<T>>(&self, b: OuterBlock, s: &mut S, v: &mut [i8], out: &mut W) -> Work {
+        let mut nnz = 0;
+        for k in b.j..b.j + b.n1 {
+            let (rows, vals) = self.0.col(k);
+            nnz += rows.len();
+            let out = out.seg(k, b.i, b.d1);
+            for (&j, &ajk) in rows.iter().zip(vals.iter()) {
+                s.set_state(b.i, j);
+                s.fill(v);
+                // ±1 entries: the multiply becomes a sign-select add, and the
+                // regenerated data is 8× smaller than f64 (paper §III-C).
+                for (o, &x) in out.iter_mut().zip(v.iter()) {
+                    *o += if x >= 0 { ajk } else { -ajk };
+                }
+            }
+        }
+        (nnz, None)
+    }
+}
 
 /// Compute `Â = S·A` with Algorithm 3 (sequential).
 ///
@@ -28,82 +103,7 @@ where
     T: Scalar,
     S: BlockSampler<T> + Clone,
 {
-    let _sp = obskit::span("sketch/alg3");
-    let mut ahat = Matrix::zeros(cfg.d, a.ncols());
-    let mut sampler = sampler.clone();
-    alg1::drive(cfg, a.ncols(), |b| {
-        let t0 = crate::obs::block_timer();
-        kernel(&mut ahat, a, b, &mut sampler);
-        if let Some(t0) = t0 {
-            let dur_ns = t0.elapsed().as_nanos() as u64;
-            let nnz_b: usize = (b.j..b.j + b.n1).map(|k| a.col(k).0.len()).sum();
-            crate::obs::block_done::<T>(
-                crate::obs::BlockObs {
-                    path: "sketch/alg3/block",
-                    i: b.i,
-                    j: b.j,
-                    d1: b.d1,
-                    n1: b.n1,
-                    nnz: nnz_b,
-                    rows_hit: None,
-                },
-                dur_ns,
-            );
-        }
-    });
-    ahat
-}
-
-/// Algorithm 3's inner kernel on one outer block (exposed for the parallel
-/// drivers).
-pub(crate) fn kernel<T, S>(
-    ahat: &mut Matrix<T>,
-    a: &CscMatrix<T>,
-    b: alg1::OuterBlock,
-    sampler: &mut S,
-) where
-    T: Scalar,
-    S: BlockSampler<T>,
-{
-    // Algorithm 3 consumes each regenerated column of S exactly once, so
-    // generation and the d₁-long axpy are fused: samples go straight from
-    // the generator's registers into Â, never through a scratch vector.
-    for k in b.j..b.j + b.n1 {
-        let (rows, vals) = a.col(k);
-        let out = &mut ahat.col_mut(k)[b.i..b.i + b.d1];
-        for (&j, &ajk) in rows.iter().zip(vals.iter()) {
-            sampler.set_state(b.i, j);
-            sampler.fill_axpy(ajk, out);
-        }
-    }
-}
-
-/// Kernel body for one block in the ±1 sign representation (exposed for the
-/// parallel drivers).
-pub(crate) fn kernel_signs<T, S>(
-    ahat: &mut Matrix<T>,
-    a: &CscMatrix<T>,
-    b: alg1::OuterBlock,
-    sampler: &mut S,
-    v: &mut [i8],
-) where
-    T: Scalar,
-    S: BlockSampler<i8>,
-{
-    let v = &mut v[..b.d1];
-    for k in b.j..b.j + b.n1 {
-        let (rows, vals) = a.col(k);
-        let out = &mut ahat.col_mut(k)[b.i..b.i + b.d1];
-        for (&j, &ajk) in rows.iter().zip(vals.iter()) {
-            sampler.set_state(b.i, j);
-            sampler.fill(v);
-            // ±1 entries: the multiply becomes a sign-select add, and the
-            // regenerated data is 8× smaller than f64 (paper §III-C).
-            for (o, &s) in out.iter_mut().zip(v.iter()) {
-                *o += if s >= 0 { ajk } else { -ajk };
-            }
-        }
-    }
+    sketch(Alg3(a), Schedule::Serial, cfg, sampler)
 }
 
 /// Compute `Â = S·A` where `S` has iid ±1 entries generated as `i8` signs —
@@ -113,31 +113,32 @@ where
     T: Scalar,
     S: BlockSampler<i8> + Clone,
 {
-    let _sp = obskit::span("sketch/alg3_signs");
-    let mut ahat = Matrix::zeros(cfg.d, a.ncols());
-    let mut sampler = sampler.clone();
-    let mut v = vec![0i8; cfg.b_d.min(cfg.d)];
-    alg1::drive(cfg, a.ncols(), |b| {
-        let t0 = crate::obs::block_timer();
-        kernel_signs(&mut ahat, a, b, &mut sampler, &mut v);
-        if let Some(t0) = t0 {
-            let dur_ns = t0.elapsed().as_nanos() as u64;
-            let nnz_b: usize = (b.j..b.j + b.n1).map(|k| a.col(k).0.len()).sum();
-            crate::obs::block_done::<i8>(
-                crate::obs::BlockObs {
-                    path: "sketch/alg3_signs/block",
-                    i: b.i,
-                    j: b.j,
-                    d1: b.d1,
-                    n1: b.n1,
-                    nnz: nnz_b,
-                    rows_hit: None,
-                },
-                dur_ns,
-            );
-        }
-    });
-    ahat
+    sketch(Alg3Signs(a), Schedule::Serial, cfg, sampler)
+}
+
+/// Algorithm 3 parallelized over column panels of `Â` (the `j` loop).
+pub fn sketch_alg3_par_cols<T, S>(a: &CscMatrix<T>, cfg: &SketchConfig, sampler: &S) -> Matrix<T>
+where
+    T: Scalar,
+    S: BlockSampler<T> + Clone + Send + Sync,
+{
+    sketch(Alg3(a), Schedule::ParCols, cfg, sampler)
+}
+
+/// Compute `k` sketches `Âᵣ = Sᵣ·A`, one per sampler — each bitwise
+/// identical to `sketch_alg3(a, cfg, &samplers[r])`, because it is that
+/// call. A loop, not a fused single traversal of `A`: the fused kernel
+/// measured no faster (EXPERIMENTS.md, "Serving experiments").
+pub fn sketch_alg3_multi<T, S>(
+    a: &CscMatrix<T>,
+    cfg: &SketchConfig,
+    samplers: &[S],
+) -> Vec<Matrix<T>>
+where
+    T: Scalar,
+    S: BlockSampler<T> + Clone,
+{
+    samplers.iter().map(|s| sketch_alg3(a, cfg, s)).collect()
 }
 
 /// Compute `Â = S·A` with the "(-1,1) scaling trick" of paper §III-C: the
@@ -147,7 +148,7 @@ where
 pub fn sketch_alg3_scaled<T, R>(a: &CscMatrix<T>, cfg: &SketchConfig, rng: &R) -> Matrix<T>
 where
     T: Scalar + rngkit::dist::Element,
-    R: rngkit::BlockRng + Clone,
+    R: rngkit::BlockRng + Clone + Send + Sync,
     ScaledInt: rngkit::dist::Distribution<T>,
 {
     let sampler = rngkit::DistSampler::new(ScaledInt::new(), rng.clone());

@@ -10,11 +10,93 @@
 //! saved generation time wins; on pattern `Abnormal_C` (dense columns) it
 //! loses badly (Table VI).
 
-use crate::alg1::OuterBlock;
+use crate::alg1::{sketch, Kernel, OuterBlock, Schedule, Window, Work};
 use crate::config::SketchConfig;
 use densekit::Matrix;
 use rngkit::BlockSampler;
 use sparsekit::{BlockedCsr, Scalar};
+
+/// Algorithm 4 over a blocked-CSR operand, with entries of `S` in the
+/// operand's scalar type.
+#[derive(Clone, Copy, Debug)]
+pub struct Alg4<'a, T>(pub &'a BlockedCsr<T>);
+
+/// ±1 `i8` sign variant of Algorithm 4 (Table IV's "(±1)" column).
+#[derive(Clone, Copy, Debug)]
+pub struct Alg4Signs<'a, T>(pub &'a BlockedCsr<T>);
+
+/// Algorithm 4's traversal of block `b`: regenerate `S[i..i+d₁, j]` once
+/// per nonempty row `j` of the vertical block and apply it to each of the
+/// row's nonzeros `a` with `apply(a, sample, &mut Â entry)`.
+#[inline(always)]
+fn rows<T: Scalar, E: Copy, S: BlockSampler<E>, W: Window<T>>(
+    a: &BlockedCsr<T>,
+    b: OuterBlock,
+    s: &mut S,
+    v: &mut [E],
+    out: &mut W,
+    apply: impl Fn(T, E, &mut T),
+) -> Work {
+    let csr = a.block(b.j / a.block_width());
+    let mut rows_hit = 0;
+    for j in 0..csr.nrows() {
+        let (cols, vals) = csr.row(j);
+        if cols.is_empty() {
+            // Zero row of the block: the corresponding column of S is never
+            // generated — the sample saving the paper's §III-B counts.
+            continue;
+        }
+        rows_hit += 1;
+        s.set_state(b.i, j);
+        s.fill(v);
+        for (&kl, &ajk) in cols.iter().zip(vals.iter()) {
+            for (o, &x) in out.seg(b.j + kl, b.i, b.d1).iter_mut().zip(v.iter()) {
+                apply(ajk, x, o);
+            }
+        }
+    }
+    (csr.nnz(), Some(rows_hit))
+}
+
+impl<T: Scalar, S: BlockSampler<T>> Kernel<T, S> for Alg4<'_, T> {
+    type Sample = T;
+    const PATHS: [&'static str; 3] = [
+        "sketch/alg4/block",
+        "sketch/alg4_par_cols/block",
+        "sketch/alg4_par_rows/block",
+    ];
+
+    fn shape(&self, cfg: &SketchConfig) -> (SketchConfig, usize) {
+        let b_n = self.0.block_width();
+        (SketchConfig { b_n, ..*cfg }, self.0.ncols())
+    }
+
+    #[inline]
+    fn block<W: Window<T>>(&self, b: OuterBlock, s: &mut S, v: &mut [T], out: &mut W) -> Work {
+        rows(self.0, b, s, v, out, |a, x, o| *o = a.mul_add(x, *o))
+    }
+}
+
+impl<T: Scalar, S: BlockSampler<i8>> Kernel<T, S> for Alg4Signs<'_, T> {
+    type Sample = i8;
+    const PATHS: [&'static str; 3] = [
+        "sketch/alg4_signs/block",
+        "sketch/alg4_signs_par_cols/block",
+        "sketch/alg4_signs_par_rows/block",
+    ];
+
+    fn shape(&self, cfg: &SketchConfig) -> (SketchConfig, usize) {
+        let b_n = self.0.block_width();
+        (SketchConfig { b_n, ..*cfg }, self.0.ncols())
+    }
+
+    #[inline]
+    fn block<W: Window<T>>(&self, b: OuterBlock, s: &mut S, v: &mut [i8], out: &mut W) -> Work {
+        rows(self.0, b, s, v, out, |a, x, o| {
+            *o += if x >= 0 { a } else { -a }
+        })
+    }
+}
 
 /// Compute `Â = S·A` with Algorithm 4 (sequential).
 ///
@@ -26,137 +108,7 @@ where
     T: Scalar,
     S: BlockSampler<T> + Clone,
 {
-    let _sp = obskit::span("sketch/alg4");
-    let mut ahat = Matrix::zeros(cfg.d, a.ncols());
-    let mut sampler = sampler.clone();
-    let mut v = vec![T::ZERO; cfg.b_d.min(cfg.d)];
-    for b in 0..a.nblocks() {
-        let j0 = a.block_col_offset(b);
-        let csr = a.block(b);
-        let mut i = 0;
-        while i < cfg.d {
-            let d1 = cfg.b_d.min(cfg.d - i);
-            let t0 = crate::obs::block_timer();
-            kernel(
-                &mut ahat,
-                a,
-                b,
-                OuterBlock {
-                    i,
-                    d1,
-                    j: j0,
-                    n1: csr.ncols(),
-                },
-                &mut sampler,
-                &mut v,
-            );
-            if let Some(t0) = t0 {
-                let dur_ns = t0.elapsed().as_nanos() as u64;
-                let rows_hit = (0..csr.nrows()).filter(|&j| csr.row_nnz(j) > 0).count();
-                crate::obs::block_done::<T>(
-                    crate::obs::BlockObs {
-                        path: "sketch/alg4/block",
-                        i,
-                        j: j0,
-                        d1,
-                        n1: csr.ncols(),
-                        nnz: csr.nnz(),
-                        rows_hit: Some(rows_hit),
-                    },
-                    dur_ns,
-                );
-            }
-            i += cfg.b_d;
-        }
-    }
-    ahat
-}
-
-/// Algorithm 4's inner kernel on one (vertical block, d-block) pair
-/// (exposed for the parallel drivers).
-pub(crate) fn kernel<T, S>(
-    ahat: &mut Matrix<T>,
-    a: &BlockedCsr<T>,
-    block: usize,
-    b: OuterBlock,
-    sampler: &mut S,
-    v: &mut [T],
-) where
-    T: Scalar,
-    S: BlockSampler<T>,
-{
-    let csr = a.block(block);
-    let v = &mut v[..b.d1];
-    for j in 0..csr.nrows() {
-        let (cols, vals) = csr.row(j);
-        if cols.is_empty() {
-            // Zero row of the block: the corresponding column of S is never
-            // generated — the sample saving the paper's §III-B counts.
-            continue;
-        }
-        sampler.set_state(b.i, j);
-        sampler.fill(v);
-        for (&kl, &ajk) in cols.iter().zip(vals.iter()) {
-            let out = &mut ahat.col_mut(b.j + kl)[b.i..b.i + b.d1];
-            for (o, &s) in out.iter_mut().zip(v.iter()) {
-                *o = ajk.mul_add(s, *o);
-            }
-        }
-    }
-}
-
-/// ±1 `i8` sign variant of Algorithm 4 (Table IV's "(±1)" column).
-pub fn sketch_alg4_signs<T, S>(a: &BlockedCsr<T>, cfg: &SketchConfig, sampler: &S) -> Matrix<T>
-where
-    T: Scalar,
-    S: BlockSampler<i8> + Clone,
-{
-    let _sp = obskit::span("sketch/alg4_signs");
-    let mut ahat = Matrix::zeros(cfg.d, a.ncols());
-    let mut sampler = sampler.clone();
-    let mut v = vec![0i8; cfg.b_d.min(cfg.d)];
-    for blk in 0..a.nblocks() {
-        let csr = a.block(blk);
-        let j0 = a.block_col_offset(blk);
-        let mut i = 0;
-        while i < cfg.d {
-            let d1 = cfg.b_d.min(cfg.d - i);
-            let vv = &mut v[..d1];
-            let t0 = crate::obs::block_timer();
-            for j in 0..csr.nrows() {
-                let (cols, vals) = csr.row(j);
-                if cols.is_empty() {
-                    continue;
-                }
-                sampler.set_state(i, j);
-                sampler.fill(vv);
-                for (&kl, &ajk) in cols.iter().zip(vals.iter()) {
-                    let out = &mut ahat.col_mut(j0 + kl)[i..i + d1];
-                    for (o, &s) in out.iter_mut().zip(vv.iter()) {
-                        *o += if s >= 0 { ajk } else { -ajk };
-                    }
-                }
-            }
-            if let Some(t0) = t0 {
-                let dur_ns = t0.elapsed().as_nanos() as u64;
-                let rows_hit = (0..csr.nrows()).filter(|&j| csr.row_nnz(j) > 0).count();
-                crate::obs::block_done::<i8>(
-                    crate::obs::BlockObs {
-                        path: "sketch/alg4_signs/block",
-                        i,
-                        j: j0,
-                        d1,
-                        n1: csr.ncols(),
-                        nnz: csr.nnz(),
-                        rows_hit: Some(rows_hit),
-                    },
-                    dur_ns,
-                );
-            }
-            i += cfg.b_d;
-        }
-    }
-    ahat
+    sketch(Alg4(a), Schedule::Serial, cfg, sampler)
 }
 
 /// Count the samples Algorithm 4 actually draws for `a` under `cfg`:
@@ -231,8 +183,9 @@ mod tests {
             &cfg,
             &Rademacher::<i8>::sampler(Rng::new(cfg.seed)),
         );
-        let s4 = sketch_alg4_signs(
-            &blocked,
+        let s4 = sketch(
+            Alg4Signs(&blocked),
+            Schedule::Serial,
             &cfg,
             &Rademacher::<i8>::sampler(Rng::new(cfg.seed)),
         );

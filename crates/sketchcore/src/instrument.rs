@@ -6,18 +6,22 @@
 //! the same caveat: "the total times are slightly higher than those reported
 //! [without instrumentation] since the timer creates additional overhead".
 //!
-//! Since the obskit refactor the drivers no longer keep their own tallies:
-//! they record into an [`obskit::LocalSpans`] accumulator (always on — the
-//! caller asked for a timing by calling the `_instrumented` entry point) and
-//! [`SketchTiming`] is a *view* over those spans. When the global telemetry
-//! gate is on, the same spans and counters are also published to the obskit
-//! registry, so instrumented runs show up in JSONL exports for free.
+//! An instrumented run is the serial plan with a timing sampler, so the
+//! kernels are the plain ones and the output is bitwise equal to the plain
+//! driver's. The totals land in an [`obskit::LocalSpans`] accumulator and
+//! [`SketchTiming`] is a *view* over those spans; with the telemetry gate
+//! on they are also published to the obskit registry.
 
+use crate::alg1::{sketch, Kernel, Schedule};
+use crate::alg3::Alg3;
+use crate::alg4::Alg4;
 use crate::config::SketchConfig;
 use densekit::Matrix;
 use obskit::{Ctr, LocalSpans};
-use rngkit::BlockSampler;
+use rngkit::{BlockSampler, SampleCost};
 use sparsekit::{BlockedCsr, CscMatrix, Scalar};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Span path for the whole instrumented Algorithm 3 run.
@@ -60,6 +64,87 @@ impl SketchTiming {
     }
 }
 
+/// Sampler time and counts, shared by every clone of a [`TimedSampler`].
+#[derive(Default)]
+struct Tally {
+    ns: AtomicU64,
+    samples: AtomicU64,
+    seeks: AtomicU64,
+}
+
+/// A sampler that times each `set_state` + `fill` pair (every kernel seeks
+/// right before it fills), as the paper's Julia implementation wrapped its
+/// RNG calls.
+#[derive(Clone)]
+struct TimedSampler<S, T> {
+    inner: S,
+    tally: Arc<Tally>,
+    t0: Instant,
+    buf: Vec<T>,
+}
+
+impl<T: Scalar, S: BlockSampler<T>> BlockSampler<T> for TimedSampler<S, T> {
+    fn set_state(&mut self, block_row: usize, col: usize) {
+        self.tally.seeks.fetch_add(1, Relaxed);
+        self.t0 = Instant::now();
+        self.inner.set_state(block_row, col);
+    }
+
+    fn fill(&mut self, out: &mut [T]) {
+        self.inner.fill(out);
+        let ns = self.t0.elapsed().as_nanos() as u64;
+        self.tally.ns.fetch_add(ns, Relaxed);
+        self.tally.samples.fetch_add(out.len() as u64, Relaxed);
+    }
+
+    fn fill_axpy(&mut self, coeff: T, out: &mut [T]) {
+        let mut v = std::mem::take(&mut self.buf);
+        v.resize(out.len(), T::ZERO);
+        self.fill(&mut v);
+        for (o, &s) in out.iter_mut().zip(v.iter()) {
+            *o = coeff.mul_add(s, *o);
+        }
+        self.buf = v;
+    }
+
+    fn cost(&self) -> SampleCost {
+        self.inner.cost()
+    }
+}
+
+/// Run `kernel` serially with a timed sampler; `[total, sample]` name the
+/// span paths the timing is recorded under.
+fn instrumented<T, K, S>(
+    kernel: K,
+    cfg: &SketchConfig,
+    sampler: &S,
+    [total, sample]: [&'static str; 2],
+) -> (Matrix<T>, SketchTiming)
+where
+    T: Scalar,
+    K: Kernel<T, TimedSampler<S, T>>,
+    S: BlockSampler<T> + Clone,
+{
+    let t0 = Instant::now();
+    let tally = Arc::new(Tally::default());
+    let timed = TimedSampler {
+        inner: sampler.clone(),
+        tally: Arc::clone(&tally),
+        t0,
+        buf: Vec::new(),
+    };
+    let ahat = sketch(kernel, Schedule::Serial, cfg, &timed);
+    let mut spans = LocalSpans::new();
+    spans.add_ns(total, t0.elapsed().as_nanos() as u64);
+    spans.add_ns(sample, tally.ns.load(Relaxed));
+    spans.publish();
+    // Counted after publishing: the plan's per-block telemetry has already
+    // put these counts into the registry.
+    spans.count(Ctr::Samples, tally.samples.load(Relaxed));
+    spans.count(Ctr::Seeks, tally.seeks.load(Relaxed));
+    (ahat, SketchTiming::from_spans(&spans, total, sample))
+}
+
 /// Algorithm 3 with per-fill timing. Returns the sketch and the breakdown.
 pub fn sketch_alg3_instrumented<T, S>(
     a: &CscMatrix<T>,
@@ -70,43 +155,7 @@ where
     T: Scalar,
     S: BlockSampler<T> + Clone,
 {
-    let t0 = Instant::now();
-    let mut sampler = sampler.clone();
-    let mut ahat = Matrix::zeros(cfg.d, a.ncols());
-    let mut v = vec![T::ZERO; cfg.b_d.min(cfg.d)];
-    let mut spans = LocalSpans::new();
-
-    let n = a.ncols();
-    let mut j = 0;
-    while j < n {
-        let n1 = cfg.b_n.min(n - j);
-        let mut i = 0;
-        while i < cfg.d {
-            let d1 = cfg.b_d.min(cfg.d - i);
-            let vv = &mut v[..d1];
-            for k in j..j + n1 {
-                let (rows, vals) = a.col(k);
-                let out = &mut ahat.col_mut(k)[i..i + d1];
-                for (&jj, &ajk) in rows.iter().zip(vals.iter()) {
-                    let ts = Instant::now();
-                    sampler.set_state(i, jj);
-                    sampler.fill(vv);
-                    spans.add_ns(SPAN_ALG3_SAMPLE, ts.elapsed().as_nanos() as u64);
-                    spans.count(Ctr::Samples, d1 as u64);
-                    spans.count(Ctr::Seeks, 1);
-                    for (o, &s) in out.iter_mut().zip(vv.iter()) {
-                        *o = ajk.mul_add(s, *o);
-                    }
-                }
-            }
-            i += cfg.b_d;
-        }
-        j += cfg.b_n;
-    }
-    spans.add_ns(SPAN_ALG3, t0.elapsed().as_nanos() as u64);
-    spans.publish();
-    let timing = SketchTiming::from_spans(&spans, SPAN_ALG3, SPAN_ALG3_SAMPLE);
-    (ahat, timing)
+    instrumented(Alg3(a), cfg, sampler, [SPAN_ALG3, SPAN_ALG3_SAMPLE])
 }
 
 /// Algorithm 4 with per-fill timing.
@@ -119,44 +168,7 @@ where
     T: Scalar,
     S: BlockSampler<T> + Clone,
 {
-    let t0 = Instant::now();
-    let mut sampler = sampler.clone();
-    let mut ahat = Matrix::zeros(cfg.d, a.ncols());
-    let mut v = vec![T::ZERO; cfg.b_d.min(cfg.d)];
-    let mut spans = LocalSpans::new();
-
-    for b in 0..a.nblocks() {
-        let csr = a.block(b);
-        let j0 = a.block_col_offset(b);
-        let mut i = 0;
-        while i < cfg.d {
-            let d1 = cfg.b_d.min(cfg.d - i);
-            let vv = &mut v[..d1];
-            for j in 0..csr.nrows() {
-                let (cols, vals) = csr.row(j);
-                if cols.is_empty() {
-                    continue;
-                }
-                let ts = Instant::now();
-                sampler.set_state(i, j);
-                sampler.fill(vv);
-                spans.add_ns(SPAN_ALG4_SAMPLE, ts.elapsed().as_nanos() as u64);
-                spans.count(Ctr::Samples, d1 as u64);
-                spans.count(Ctr::Seeks, 1);
-                for (&kl, &ajk) in cols.iter().zip(vals.iter()) {
-                    let out = &mut ahat.col_mut(j0 + kl)[i..i + d1];
-                    for (o, &s) in out.iter_mut().zip(vv.iter()) {
-                        *o = ajk.mul_add(s, *o);
-                    }
-                }
-            }
-            i += cfg.b_d;
-        }
-    }
-    spans.add_ns(SPAN_ALG4, t0.elapsed().as_nanos() as u64);
-    spans.publish();
-    let timing = SketchTiming::from_spans(&spans, SPAN_ALG4, SPAN_ALG4_SAMPLE);
-    (ahat, timing)
+    instrumented(Alg4(a), cfg, sampler, [SPAN_ALG4, SPAN_ALG4_SAMPLE])
 }
 
 #[cfg(test)]

@@ -13,25 +13,30 @@
 //!
 //! * [`config`] — blocking parameters `(b_d, b_n)`, sketch size `d = γ·n`,
 //!   flop accounting.
-//! * [`alg1`] — the outer blocking driver (paper Algorithm 1):
-//!   `(⌈d/b_d⌉, 1, ⌈n/b_n⌉)`-blocking with the column loop outermost.
+//! * [`alg1`] — the one sketch driver (paper Algorithm 1):
+//!   `(⌈d/b_d⌉, 1, ⌈n/b_n⌉)`-blocking with the column loop outermost. A
+//!   sketch is a plan, a [`Kernel`] × a [`Schedule`], run by [`sketch`]:
+//!   the schedule (`Serial`, `ParCols` over column panels, `ParRows` over
+//!   row stripes — paper §II-C) only decides which worker owns which output
+//!   window, and every worker runs the same block loop.
 //! * [`alg3`] — compute kernel variant `kji` with RNG (paper Algorithm 3):
 //!   consumes plain CSC, strided access to all three operands, regenerates a
-//!   column of `S` per nonzero of `A`. Pattern-oblivious.
+//!   column of `S` per nonzero of `A`. Pattern-oblivious. Kernels [`Alg3`]
+//!   (fused generate-and-axpy) and [`Alg3Signs`] (±1 signs).
 //! * [`alg4`] — compute kernel variant `jki` with RNG (paper Algorithm 4):
 //!   consumes [`sparsekit::BlockedCsr`], regenerates a column of `S` once per
 //!   *row* of each vertical block, reusing it across that row's nonzeros —
-//!   fewer samples, less regular access.
+//!   fewer samples, less regular access. Kernels [`Alg4`] and [`Alg4Signs`].
+//! * [`robust`] — the one checked entry point, [`try_sketch`]: validation,
+//!   memory budget, fault injection, panic containment, output scan.
 //! * [`variants`] — all six `i/j/k` loop orderings of the toy kernel from
 //!   paper §II-B, kept as executable documentation of the design-space
 //!   argument (why `ikj`, `kij`, `ijk` and `jik` are ruled out).
-//! * [`parallel`] — parkit parallelizations of Algorithm 1's two outer loops
-//!   (paper §II-C): over column panels or over row stripes of `Â`.
-//! * [`instrument`] — sample-time vs total-time split (paper Tables III/V),
-//!   now a view over obskit spans.
+//! * [`instrument`] — sample-time vs total-time split (paper Tables III/V):
+//!   the serial plan with a timing sampler, viewed through obskit spans.
 //! * [`model`] — the roofline/computational-intensity model of §III-A, with
 //!   the block-size optimizer of eq. (4) and the closed forms (5)–(7).
-//! * [`obs`] — telemetry glue: block-granularity counters the kernels bump
+//! * [`obs`] — telemetry glue: block-granularity counters the block loop records
 //!   and the measured-vs-model traffic comparison ([`obs::TrafficReport`]).
 //!
 //! ## Quick example
@@ -55,23 +60,20 @@ pub mod config;
 pub mod error;
 pub mod instrument;
 pub mod model;
-pub mod multi;
 pub mod obs;
-pub mod parallel;
 pub mod pattern_model;
 pub mod robust;
 pub mod variants;
 
-pub use alg3::{sketch_alg3, sketch_alg3_signs};
-pub use alg4::{sketch_alg4, sketch_alg4_signs};
+pub use alg1::{sketch, Kernel, Schedule};
+pub use alg3::{
+    sketch_alg3, sketch_alg3_multi, sketch_alg3_par_cols, sketch_alg3_signs, Alg3, Alg3Signs,
+};
+pub use alg4::{sketch_alg4, Alg4, Alg4Signs};
 pub use config::{flops, SketchConfig};
 pub use error::SketchError;
 pub use instrument::{sketch_alg3_instrumented, sketch_alg4_instrumented, SketchTiming};
 pub use model::{CostModel, ModelPrediction};
-pub use multi::{sketch_alg3_multi, try_sketch_alg3_multi};
 pub use obs::TrafficReport;
-pub use parallel::{sketch_alg3_par_cols, sketch_alg3_par_rows, sketch_alg4_par_rows};
 pub use pattern_model::{predict_kernels, profile_pattern, tune_b_n, KernelCosts, PatternProfile};
-pub use robust::{
-    plan_blocks, try_sketch_alg3, try_sketch_alg3_par_cols, BudgetPlan, FaultSampler,
-};
+pub use robust::{plan_blocks, try_sketch, try_sketch_alg3, BudgetPlan, FaultSampler};

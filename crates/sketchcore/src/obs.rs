@@ -1,13 +1,14 @@
 //! Telemetry glue: block-granularity counter helpers for the kernels and
 //! the measured-vs-model traffic comparison of paper §III-A.
 //!
-//! The kernels call [`block_timer`] / [`block_done`] once per outer block:
-//! the timer arms only when a recorder is on ([`obskit::any_enabled`], one
-//! relaxed atomic load), and `block_done` fans the measurement out to the
-//! latency histogram + counters (aggregate telemetry) and/or an annotated
-//! block span in the flight recorder ([`obskit::trace`]). The disabled path
-//! costs one relaxed atomic load per block and nothing per nonzero. The
-//! counters follow the paper's accounting:
+//! The block loop ([`crate::alg1`]) calls [`block_timer`] / [`block_done`]
+//! once per outer block: the timer arms only when a recorder is on
+//! ([`obskit::any_enabled`], one relaxed atomic load), and `block_done` fans
+//! the measurement out to the latency histogram + counters (aggregate
+//! telemetry) and/or an annotated block span in the flight recorder
+//! ([`obskit::trace`]). The disabled path costs one relaxed atomic load per
+//! block and nothing per nonzero. The counters follow the paper's
+//! accounting:
 //!
 //! * `samples` — entries of `S` regenerated (Algorithm 3: `d₁` per nonzero;
 //!   Algorithm 4: `d₁` per nonempty row of the vertical block).
@@ -24,17 +25,11 @@
 //! moved about as much data as the model says it must; a large ratio flags
 //! cache misses the model does not account for (or a mis-sized `M`).
 
+use crate::alg1::{OuterBlock, Work};
 use crate::model::CostModel;
 use obskit::trace::{self, TraceKind};
 use obskit::Ctr;
 use std::time::Instant;
-
-/// Bytes per stored nonzero of the sparse operand: one value plus one
-/// row/column index (`usize`).
-#[inline]
-fn nnz_bytes<T>() -> u64 {
-    (std::mem::size_of::<T>() + std::mem::size_of::<usize>()) as u64
-}
 
 /// Arm the per-block timer iff *any* recorder (aggregate telemetry or the
 /// flight recorder) is on. The disabled path is one relaxed atomic load —
@@ -45,46 +40,33 @@ pub fn block_timer() -> Option<Instant> {
     obskit::any_enabled().then(Instant::now)
 }
 
-/// Identity and shape of one completed kernel block, handed to
-/// [`block_done`].
-#[derive(Clone, Copy, Debug)]
-pub struct BlockObs {
-    /// Histogram / trace span path, e.g. `"sketch/alg3/block"`.
-    pub path: &'static str,
-    /// Row offset of the output block in `Â`.
-    pub i: usize,
-    /// Column offset of the block.
-    pub j: usize,
-    /// Output rows of the block (`d₁`).
-    pub d1: usize,
-    /// Output columns of the block (`n₁`).
-    pub n1: usize,
-    /// Nonzeros of `A` streamed by the block.
-    pub nnz: usize,
-    /// `Some(rows_hit)` for Algorithm-4-style accounting (one seek and `d₁`
-    /// samples per nonempty row), `None` for Algorithm-3-style (per
-    /// nonzero).
-    pub rows_hit: Option<usize>,
-}
-
 /// Record one completed kernel block into whichever recorders are armed:
 /// the latency histogram plus §III-B counters when aggregate telemetry is
 /// on, and an annotated block span (indices, rows, nnz, bytes, model cost)
 /// plus counter deltas when the flight recorder is on. `dur_ns` is the
 /// measured kernel time — callers take it immediately after the kernel so
 /// shape bookkeeping (e.g. the nnz sum) never inflates the measurement.
-pub fn block_done<T>(b: BlockObs, dur_ns: u64) {
-    let samples = (b.d1 * b.rows_hit.unwrap_or(b.nnz)) as u64;
+/// `path` names the histogram / trace span (e.g. `"sketch/alg3/block"`)
+/// and `T` is the entry type of `S` the kernel regenerated.
+pub fn block_done<T>(path: &'static str, b: OuterBlock, (nnz, rows_hit): Work, dur_ns: u64) {
+    // One seek and d₁ samples per nonzero (Algorithm 3) or per nonempty
+    // row (Algorithm 4, which reuses the regenerated segment across the row).
+    let seeks = rows_hit.unwrap_or(nnz) as u64;
+    let samples = b.d1 as u64 * seeks;
+    let word = std::mem::size_of::<T>() as u64;
+    // Each stored nonzero of A is one value plus one row/column index.
+    let bytes_a = nnz as u64 * (word + std::mem::size_of::<usize>() as u64);
+    let bytes_out = 2 * word * (b.d1 * b.n1) as u64;
     if obskit::enabled() {
-        obskit::hist_record_ns(b.path, dur_ns);
-        match b.rows_hit {
-            Some(rh) => count_block_alg4::<T>(b.d1, b.n1, b.nnz, rh),
-            None => count_block::<T>(b.d1, b.n1, b.nnz),
-        }
+        obskit::hist_record_ns(path, dur_ns);
+        obskit::add(Ctr::Samples, samples);
+        obskit::add(Ctr::Seeks, seeks);
+        obskit::add(Ctr::Flops, 2 * (b.d1 * nnz) as u64);
+        obskit::add(Ctr::BytesA, bytes_a);
+        obskit::add(Ctr::BytesOut, bytes_out);
     }
     if obskit::trace_enabled() {
-        let word = std::mem::size_of::<T>() as u64;
-        let bytes = b.nnz as u64 * nnz_bytes::<T>() + 2 * word * (b.d1 * b.n1) as u64;
+        let bytes = bytes_a + bytes_out;
         // §III-A cost functional in byte units: memory traffic plus
         // generation cost h per sample, expressed in word-bytes so the two
         // terms share a unit. The anomaly attributor fits ns-per-cost-unit
@@ -93,15 +75,15 @@ pub fn block_done<T>(b: BlockObs, dur_ns: u64) {
         let cost = bytes + (h * samples as f64 * word as f64).round() as u64;
         let end_ns = trace::now_ns();
         trace::span_pair(
-            b.path,
+            path,
             end_ns.saturating_sub(dur_ns),
             end_ns,
             TraceKind::BlockEnd,
             [
                 b.i as u64,
                 b.j as u64,
-                b.rows_hit.unwrap_or(b.d1) as u64,
-                b.nnz as u64,
+                rows_hit.unwrap_or(b.d1) as u64,
+                nnz as u64,
                 bytes,
                 cost,
             ],
@@ -109,75 +91,6 @@ pub fn block_done<T>(b: BlockObs, dur_ns: u64) {
         trace::counter("samples", samples);
         trace::counter("bytes", bytes);
     }
-}
-
-/// Record one completed *batched* kernel block (`batch` independent sketches
-/// sharing one traversal — see [`crate::sketch_alg3_multi`]). Sample/seek/
-/// flop/output counters scale with the batch; `bytes_a` is charged once,
-/// because the batch's whole point is that the operand is streamed once.
-pub fn block_done_multi<T>(b: BlockObs, batch: usize, dur_ns: u64) {
-    if obskit::enabled() {
-        obskit::hist_record_ns(b.path, dur_ns);
-        let (d1, n1, nnz_b, batch) = (b.d1 as u64, b.n1 as u64, b.nnz as u64, batch as u64);
-        obskit::add(Ctr::Samples, batch * d1 * nnz_b);
-        obskit::add(Ctr::Seeks, batch * nnz_b);
-        obskit::add(Ctr::Flops, 2 * batch * d1 * nnz_b);
-        obskit::add(Ctr::BytesA, nnz_b * nnz_bytes::<T>());
-        obskit::add(
-            Ctr::BytesOut,
-            2 * std::mem::size_of::<T>() as u64 * batch * d1 * n1,
-        );
-    }
-    if obskit::trace_enabled() {
-        let word = std::mem::size_of::<T>() as u64;
-        let samples = (b.d1 * b.nnz) as u64 * batch as u64;
-        let bytes =
-            b.nnz as u64 * nnz_bytes::<T>() + 2 * word * (b.d1 * b.n1) as u64 * batch as u64;
-        let h = CostModel::default_host().h;
-        let cost = bytes + (h * samples as f64 * word as f64).round() as u64;
-        let end_ns = trace::now_ns();
-        trace::span_pair(
-            b.path,
-            end_ns.saturating_sub(dur_ns),
-            end_ns,
-            TraceKind::BlockEnd,
-            [
-                b.i as u64,
-                b.j as u64,
-                batch as u64,
-                b.nnz as u64,
-                bytes,
-                cost,
-            ],
-        );
-        trace::counter("samples", samples);
-        trace::counter("bytes", bytes);
-    }
-}
-
-/// Record one Algorithm-3-style outer block: `d1 × n1` output tile with
-/// `nnz_b` nonzeros of `A` in its column range. One seek and `d1` samples
-/// per nonzero. Call only when [`obskit::enabled`] is true.
-pub fn count_block<T>(d1: usize, n1: usize, nnz_b: usize) {
-    let (d1, n1, nnz_b) = (d1 as u64, n1 as u64, nnz_b as u64);
-    obskit::add(Ctr::Samples, d1 * nnz_b);
-    obskit::add(Ctr::Seeks, nnz_b);
-    obskit::add(Ctr::Flops, 2 * d1 * nnz_b);
-    obskit::add(Ctr::BytesA, nnz_b * nnz_bytes::<T>());
-    obskit::add(Ctr::BytesOut, 2 * std::mem::size_of::<T>() as u64 * d1 * n1);
-}
-
-/// Record one Algorithm-4-style outer block: `d1 × n1` output tile with
-/// `nnz_b` nonzeros, of which `rows_hit` distinct nonempty rows each cost
-/// one seek and `d1` samples (the regenerated column segment is reused
-/// across the row). Call only when [`obskit::enabled`] is true.
-pub fn count_block_alg4<T>(d1: usize, n1: usize, nnz_b: usize, rows_hit: usize) {
-    let (d1, n1, nnz_b, rows_hit) = (d1 as u64, n1 as u64, nnz_b as u64, rows_hit as u64);
-    obskit::add(Ctr::Samples, d1 * rows_hit);
-    obskit::add(Ctr::Seeks, rows_hit);
-    obskit::add(Ctr::Flops, 2 * d1 * nnz_b);
-    obskit::add(Ctr::BytesA, nnz_b * nnz_bytes::<T>());
-    obskit::add(Ctr::BytesOut, 2 * std::mem::size_of::<T>() as u64 * d1 * n1);
 }
 
 /// Measured memory traffic put side by side with the §III-A model.

@@ -1,19 +1,18 @@
-//! Hardened sketch drivers: validated inputs, a memory-budget guard that
-//! degrades block sizes instead of OOM-ing, fault-injectable sample
-//! streams, and worker-panic containment.
+//! The checked entry point, [`try_sketch`]: validated inputs, a
+//! memory-budget guard that degrades block sizes instead of OOM-ing,
+//! fault-injectable sample streams, and worker-panic containment.
 //!
-//! The plain drivers stay panic-on-misuse and zero-overhead; these wrappers
-//! add, in order:
+//! The plain plan ([`crate::sketch`]) stays panic-on-misuse and
+//! zero-overhead; the checked entry adds, in order:
 //!
 //! 1. **Input validation** — full CSC invariant check plus NaN/Inf scan
 //!    ([`sparsekit::CscMatrix::validate`]), so corrupted structure is a
 //!    typed [`SketchError::InvalidInput`] rather than an out-of-bounds
 //!    panic deep inside a kernel.
-//! 2. **Memory budget** ([`plan_blocks`]) — the container gives us ~15 GB;
-//!    `SKETCH_MEM_BUDGET` (bytes, default 12 GiB) caps the sketch's
-//!    footprint. The dense output `d×n` is irreducible, but the per-thread
-//!    working set scales with `b_d·b_n`, so the guard halves block sizes
-//!    (recording each halving as the `budget.degraded_blocks` counter)
+//! 2. **Memory budget** ([`plan_blocks`]) — `SKETCH_MEM_BUDGET` (bytes,
+//!    default 12 GiB) caps the sketch's footprint. The dense output `d×n`
+//!    is irreducible, but the per-thread working set scales with `b_d·b_n`,
+//!    so the guard halves block sizes (counted as `budget.degraded_blocks`)
 //!    until the plan fits, and only errors with
 //!    [`SketchError::BudgetExceeded`] when the output alone cannot fit.
 //! 3. **Fault sites** — `sketch/alloc` shrinks the apparent budget (forcing
@@ -26,6 +25,8 @@
 //!    ([`SketchError::NonFiniteSketch`]) so poisoned data cannot leak into
 //!    a downstream factorization panic.
 
+use crate::alg1::{sketch, Schedule};
+use crate::alg3::Alg3;
 use crate::config::SketchConfig;
 use crate::error::{panic_payload_to_string, SketchError};
 use densekit::Matrix;
@@ -175,35 +176,49 @@ impl<T: Scalar, S: BlockSampler<T>> BlockSampler<T> for FaultSampler<S> {
     }
 }
 
-/// Scan a finished sketch for non-finite entries.
-fn check_output<T: Scalar>(ahat: &Matrix<T>) -> Result<(), SketchError> {
-    for j in 0..ahat.ncols() {
-        for (i, v) in ahat.col(j).iter().enumerate() {
-            if !v.is_finite() {
-                return Err(SketchError::NonFiniteSketch { row: i, col: j });
-            }
-        }
-    }
-    Ok(())
-}
-
-fn run_checked<T, F>(f: F) -> Result<Matrix<T>, SketchError>
+/// The checked entry point: Algorithm 3 over CSC input under `schedule`,
+/// with this module's four guards. `validate: false` skips the input check
+/// for a matrix validated once already (a service registry's). A panicking
+/// parkit worker surfaces as [`SketchError::WorkerPanic`], with telemetry
+/// flushed and trace span pairs balanced.
+pub fn try_sketch<T, S>(
+    a: &CscMatrix<T>,
+    schedule: Schedule,
+    cfg: &SketchConfig,
+    sampler: &S,
+    validate: bool,
+) -> Result<Matrix<T>, SketchError>
 where
     T: Scalar,
-    F: FnOnce() -> Matrix<T>,
+    S: BlockSampler<T> + Clone,
 {
+    if validate {
+        a.validate()?;
+    }
+    let plan = plan_blocks::<T>(cfg, a.ncols())?;
     // parkit re-raises worker panic payloads on the calling thread after
     // flushing telemetry; catching here turns them into typed errors.
     // AssertUnwindSafe: the closure only owns its operands; on Err nothing
     // it touched is observable.
-    let ahat = catch_unwind(AssertUnwindSafe(f))
-        .map_err(|p| SketchError::WorkerPanic(panic_payload_to_string(p.as_ref())))?;
-    check_output(&ahat)?;
+    let ahat = catch_unwind(AssertUnwindSafe(|| {
+        if faultkit::armed() {
+            let faulty = FaultSampler::new(sampler.clone());
+            sketch(Alg3(a), schedule, &plan.cfg, &faulty)
+        } else {
+            sketch(Alg3(a), schedule, &plan.cfg, sampler)
+        }
+    }))
+    .map_err(|p| SketchError::WorkerPanic(panic_payload_to_string(p.as_ref())))?;
+    for j in 0..ahat.ncols() {
+        if let Some(i) = ahat.col(j).iter().position(|v| !v.is_finite()) {
+            return Err(SketchError::NonFiniteSketch { row: i, col: j });
+        }
+    }
     Ok(ahat)
 }
 
-/// Hardened sequential Algorithm 3: validated input, budget-fitted blocks,
-/// fault-injectable sample stream, scanned output.
+/// Hardened sequential Algorithm 3: [`try_sketch`] with
+/// [`Schedule::Serial`] and validation on.
 pub fn try_sketch_alg3<T, S>(
     a: &CscMatrix<T>,
     cfg: &SketchConfig,
@@ -213,38 +228,7 @@ where
     T: Scalar,
     S: BlockSampler<T> + Clone,
 {
-    a.validate()?;
-    let plan = plan_blocks::<T>(cfg, a.ncols())?;
-    if faultkit::armed() {
-        let faulty = FaultSampler::new(sampler.clone());
-        run_checked(|| crate::sketch_alg3(a, &plan.cfg, &faulty))
-    } else {
-        run_checked(|| crate::sketch_alg3(a, &plan.cfg, sampler))
-    }
-}
-
-/// Hardened parallel Algorithm 3 (column-panel driver): everything
-/// [`try_sketch_alg3`] does, plus containment of worker panics — a panic
-/// inside a parkit worker (including the injected `parkit/worker` fault)
-/// surfaces as [`SketchError::WorkerPanic`] with every thread's telemetry
-/// flushed and trace span pairs balanced.
-pub fn try_sketch_alg3_par_cols<T, S>(
-    a: &CscMatrix<T>,
-    cfg: &SketchConfig,
-    sampler: &S,
-) -> Result<Matrix<T>, SketchError>
-where
-    T: Scalar + Send + Sync,
-    S: BlockSampler<T> + Clone + Send + Sync,
-{
-    a.validate()?;
-    let plan = plan_blocks::<T>(cfg, a.ncols())?;
-    if faultkit::armed() {
-        let faulty = FaultSampler::new(sampler.clone());
-        run_checked(|| crate::sketch_alg3_par_cols(a, &plan.cfg, &faulty))
-    } else {
-        run_checked(|| crate::sketch_alg3_par_cols(a, &plan.cfg, sampler))
-    }
+    try_sketch(a, Schedule::Serial, cfg, sampler, true)
 }
 
 #[cfg(test)]
@@ -275,7 +259,7 @@ mod tests {
         let plain = crate::sketch_alg3(&a, &cfg, &sampler);
         let hardened = try_sketch_alg3(&a, &cfg, &sampler).expect("benign input");
         assert_eq!(plain, hardened);
-        let par = try_sketch_alg3_par_cols(&a, &cfg, &sampler).expect("benign input");
+        let par = try_sketch(&a, Schedule::ParCols, &cfg, &sampler, true).expect("benign input");
         assert_eq!(plain, par);
     }
 

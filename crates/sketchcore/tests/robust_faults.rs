@@ -6,8 +6,8 @@
 //! crate's concurrent unit tests.
 
 use rngkit::{FastRng, UnitUniform};
-use sketchcore::robust::{plan_blocks, try_sketch_alg3, try_sketch_alg3_par_cols};
-use sketchcore::{SketchConfig, SketchError};
+use sketchcore::robust::{plan_blocks, try_sketch_alg3};
+use sketchcore::{try_sketch, Schedule, SketchConfig, SketchError};
 use sparsekit::{CooMatrix, CscMatrix};
 
 fn small_input() -> CscMatrix<f64> {
@@ -46,7 +46,9 @@ fn injected_faults_surface_as_typed_errors() {
 
     // Worker panic inside parkit: payload propagated, typed, no abort.
     faultkit::set_plan_str("parkit/worker=once", 0).expect("valid plan");
-    let r = parkit::with_threads(2, || try_sketch_alg3_par_cols(&a, &cfg, &sampler));
+    let r = parkit::with_threads(2, || {
+        try_sketch(&a, Schedule::ParCols, &cfg, &sampler, true)
+    });
     faultkit::clear();
     match r {
         Err(SketchError::WorkerPanic(msg)) => {

@@ -13,8 +13,9 @@
 //!   ref-counted LRU eviction (in-flight requests pin their operand).
 //! * [`server`] — acceptor → bounded queue with admission control
 //!   (overload rejection, per-request deadlines) → parkit workers whose
-//!   batcher coalesces compatible `Sketch` requests into one
-//!   [`sketchcore::sketch_alg3_multi`] traversal of `A`.
+//!   batcher coalesces compatible `Sketch` requests into one dispatch of
+//!   per-seed [`sketchcore::try_sketch`] calls and one reply write per
+//!   connection.
 //! * [`client`] — blocking client + connection pool (the `sketchclient`
 //!   side), used by `sketchctl`, the bench crate's `loadgen`, and the
 //!   integration tests.

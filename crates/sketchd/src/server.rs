@@ -23,11 +23,13 @@
 //!
 //! The **batcher** lives in the worker loop: after popping a `Sketch` job
 //! it drains up to `batch_max − 1` further queued `Sketch` jobs against
-//! the same `(name, d, b_d, b_n)` and serves them all with one
-//! [`sketchcore::sketch_alg3_multi`] pass — one traversal of `A` for the
-//! whole batch. Responses are per-request and bitwise identical to
-//! sequential execution (the kernel's contract, re-asserted by the
-//! service tests).
+//! the same `(name, d, b_d, b_n)` and serves them all in one dispatch:
+//! one checked serial sketch per member ([`sketchcore::try_sketch`], no
+//! re-validation of the registry's already-validated matrix) and one
+//! coalesced reply write per connection. The batch's win is dispatch and
+//! syscall amortization, not a fused kernel. Responses are per-request and
+//! bitwise identical to sequential execution (re-asserted by the service
+//! tests).
 //!
 //! Telemetry is **snapshot-and-diff**: the server takes an
 //! [`obskit::snapshot`] baseline at startup and every `Stats` request
@@ -49,7 +51,7 @@ use crate::registry::{Registry, RegistryError};
 use lstsq::{RecoveryPolicy, SapOptions, SolveError};
 use rngkit::{FastRng, UnitUniform};
 use sketchcore::error::panic_payload_to_string;
-use sketchcore::{SketchConfig, SketchError};
+use sketchcore::{Schedule, SketchConfig, SketchError};
 use sparsekit::CscMatrix;
 use std::collections::VecDeque;
 use std::io;
@@ -69,7 +71,7 @@ pub struct ServerConfig {
     pub queue_cap: usize,
     /// Worker loops (parkit threads executing kernels).
     pub workers: usize,
-    /// Largest sketch batch one traversal may serve.
+    /// Largest sketch batch one dispatch may serve.
     pub batch_max: usize,
     /// Registry byte budget.
     pub registry_budget: u64,
@@ -137,12 +139,13 @@ enum Work {
     Solve(SolveSapReq),
 }
 
+/// Who a queued request answers to, and its timing; queued next to its
+/// [`Work`] so each executor receives the already-matched request.
 struct Job {
     op: Op,
     req_id: u64,
     deadline: Option<Instant>,
     enqueued: Instant,
-    work: Work,
     conn: Arc<Conn>,
 }
 
@@ -160,7 +163,7 @@ impl Job {
 struct Shared {
     cfg: ServerConfig,
     registry: Registry,
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<VecDeque<(Job, Work)>>,
     queue_cv: Condvar,
     shutdown: AtomicBool,
     start: Instant,
@@ -457,7 +460,6 @@ fn admit_work(frame: Frame, conn: &Arc<Conn>, shared: &Arc<Shared>) {
         deadline: (frame.deadline_ms > 0)
             .then(|| now + Duration::from_millis(frame.deadline_ms as u64)),
         enqueued: now,
-        work,
         conn: Arc::clone(conn),
     };
     let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -472,7 +474,7 @@ fn admit_work(frame: Frame, conn: &Arc<Conn>, shared: &Arc<Shared>) {
         ));
         return;
     }
-    q.push_back(job);
+    q.push_back((job, work));
     drop(q);
     obskit::add(obskit::Ctr::SvcAccepted, 1);
     shared.queue_cv.notify_one();
@@ -525,7 +527,7 @@ fn parse_work(frame: &Frame) -> Result<Work, String> {
 
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
-        let job = {
+        let (job, work) = {
             let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 if let Some(j) = q.pop_front() {
@@ -550,14 +552,14 @@ fn worker_loop(shared: &Arc<Shared>) {
             job.reply_error(Status::DeadlineExceeded, "deadline expired while queued");
             continue;
         }
-        match &job.work {
-            Work::Load(_) => execute_load(shared, job),
-            Work::Solve(_) => execute_solve(shared, job),
+        match work {
+            Work::Load(req) => execute_load(shared, job, req),
+            Work::Solve(req) => execute_solve(shared, job, req),
             Work::Sketch(req) => {
                 let batch = if req.flags & sketch_flags::NO_BATCH != 0 {
-                    vec![job]
+                    vec![(job, req)]
                 } else {
-                    drain_batch(shared, job)
+                    drain_batch(shared, (job, req))
                 };
                 execute_sketch_batch(shared, batch);
             }
@@ -569,47 +571,39 @@ fn worker_loop(shared: &Arc<Shared>) {
 /// Pull queued `Sketch` jobs compatible with `first` (same matrix, same
 /// blocking, batching not opted out) up to `batch_max`, preserving the
 /// queue order of everything left behind.
-fn drain_batch(shared: &Arc<Shared>, first: Job) -> Vec<Job> {
-    let proto_req = match &first.work {
-        Work::Sketch(r) => r.clone(),
-        _ => unreachable!("drain_batch is only called for sketch jobs"),
-    };
+fn drain_batch(shared: &Arc<Shared>, first: (Job, SketchReq)) -> Vec<(Job, SketchReq)> {
+    let max = shared.cfg.batch_max.max(1);
     let mut batch = vec![first];
     let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-    let mut i = 0;
-    while i < q.len() && batch.len() < shared.cfg.batch_max.max(1) {
-        let compatible = matches!(
-            &q[i].work,
+    for (job, work) in std::mem::take(&mut *q) {
+        let p = &batch[0].1;
+        match work {
             Work::Sketch(r)
-                if r.name == proto_req.name
-                    && r.d == proto_req.d
-                    && r.b_d == proto_req.b_d
-                    && r.b_n == proto_req.b_n
-                    && r.flags & sketch_flags::NO_BATCH == 0
-        );
-        if compatible {
-            if let Some(j) = q.remove(i) {
-                batch.push(j);
+                if batch.len() < max
+                    && r.name == p.name
+                    && (r.d, r.b_d, r.b_n) == (p.d, p.b_d, p.b_n)
+                    && r.flags & sketch_flags::NO_BATCH == 0 =>
+            {
+                batch.push((job, r))
             }
-        } else {
-            i += 1;
+            work => q.push_back((job, work)),
         }
     }
     batch
 }
 
-/// Run one sketch batch: one `sketch_alg3_multi` traversal, one reply per
-/// member. Any panic in the kernel (or the `svc/dispatch` failpoint) is
+/// Run one sketch batch: one checked serial sketch per member, one reply
+/// per member. Any panic in the kernel (or the `svc/dispatch` failpoint) is
 /// contained here — each member gets a typed `Internal` frame and the
 /// worker returns to the queue.
-fn execute_sketch_batch(shared: &Arc<Shared>, mut batch: Vec<Job>) {
+fn execute_sketch_batch(shared: &Arc<Shared>, mut batch: Vec<(Job, SketchReq)>) {
     obskit::hist_record_ns("svc/batch_size", batch.len() as u64);
     if batch.len() >= 2 {
         obskit::add(obskit::Ctr::SvcBatched, batch.len() as u64);
     }
     // Deadline re-check per member: queued time plus the drain may have
     // consumed someone's budget.
-    batch.retain(|j| {
+    batch.retain(|(j, _)| {
         if j.expired() {
             obskit::add(obskit::Ctr::SvcDeadlineMissed, 1);
             j.reply_error(Status::DeadlineExceeded, "deadline expired before dispatch");
@@ -621,14 +615,11 @@ fn execute_sketch_batch(shared: &Arc<Shared>, mut batch: Vec<Job>) {
     if batch.is_empty() {
         return;
     }
-    let req0 = match &batch[0].work {
-        Work::Sketch(r) => r.clone(),
-        _ => unreachable!("sketch batch holds sketch jobs"),
-    };
+    let req0 = &batch[0].1;
     let a = match shared.registry.get(&req0.name) {
         Ok(a) => a,
         Err(e) => {
-            for j in &batch {
+            for (j, _) in &batch {
                 j.reply_error(Status::NotFound, &e.to_string());
             }
             return;
@@ -638,7 +629,7 @@ fn execute_sketch_batch(shared: &Arc<Shared>, mut batch: Vec<Job>) {
     // Output budget gate: the batch materializes batch×d×n doubles.
     let out_bytes = 8u64 * d as u64 * n as u64 * batch.len() as u64;
     if out_bytes > sketchcore::robust::memory_budget_bytes() {
-        for j in &batch {
+        for (j, _) in &batch {
             j.reply_error(
                 Status::Overloaded,
                 &format!("sketch output ({out_bytes} B) exceeds the memory budget"),
@@ -647,22 +638,18 @@ fn execute_sketch_batch(shared: &Arc<Shared>, mut batch: Vec<Job>) {
         return;
     }
     let cfg = SketchConfig::new(d, req0.b_d as usize, req0.b_n as usize, req0.seed);
-    let seeds: Vec<u64> = batch
-        .iter()
-        .map(|j| match &j.work {
-            Work::Sketch(r) => r.seed,
-            _ => unreachable!(),
-        })
-        .collect();
-    let samplers: Vec<_> = seeds
-        .iter()
-        .map(|&s| UnitUniform::<f64>::sampler(FastRng::new(s)))
-        .collect();
     let result = catch_unwind(AssertUnwindSafe(|| {
         if faultkit::armed() && faultkit::fire("svc/dispatch") {
             panic!("fault injected: svc/dispatch");
         }
-        sketchcore::try_sketch_alg3_multi(a.as_ref(), &cfg, &samplers, false)
+        // The registry validated `a` at load time: no re-validation here.
+        batch
+            .iter()
+            .map(|(_, r)| {
+                let sampler = UnitUniform::<f64>::sampler(FastRng::new(r.seed));
+                sketchcore::try_sketch(a.as_ref(), Schedule::Serial, &cfg, &sampler, false)
+            })
+            .collect::<Result<Vec<_>, _>>()
     }))
     .unwrap_or_else(|p| {
         Err(SketchError::WorkerPanic(panic_payload_to_string(
@@ -676,12 +663,8 @@ fn execute_sketch_batch(shared: &Arc<Shared>, mut batch: Vec<Job>) {
             // per-connection request order (the drain keeps queue order).
             let bsz = batch.len() as u32;
             let mut groups: Vec<(Arc<Conn>, Vec<u8>)> = Vec::new();
-            for (j, m) in batch.iter().zip(outs.iter()) {
-                let flags = match &j.work {
-                    Work::Sketch(r) => r.flags,
-                    _ => unreachable!(),
-                };
-                let body = if flags & sketch_flags::CHECKSUM_ONLY != 0 {
+            for ((j, r), m) in batch.iter().zip(outs.iter()) {
+                let body = if r.flags & sketch_flags::CHECKSUM_ONLY != 0 {
                     SketchResult::Checksum {
                         d: d as u64,
                         n: n as u64,
@@ -716,18 +699,14 @@ fn execute_sketch_batch(shared: &Arc<Shared>, mut batch: Vec<Job>) {
                 SketchError::BudgetExceeded { .. } => Status::Overloaded,
                 _ => Status::Internal,
             };
-            for j in &batch {
+            for (j, _) in &batch {
                 j.reply_error(status, &e.to_string());
             }
         }
     }
 }
 
-fn execute_solve(shared: &Arc<Shared>, job: Job) {
-    let req = match &job.work {
-        Work::Solve(r) => r.clone(),
-        _ => unreachable!("execute_solve is only called for solve jobs"),
-    };
+fn execute_solve(shared: &Arc<Shared>, job: Job, req: SolveSapReq) {
     let a = match shared.registry.get(&req.name) {
         Ok(a) => a,
         Err(e) => {
@@ -777,11 +756,7 @@ fn execute_solve(shared: &Arc<Shared>, job: Job) {
     }
 }
 
-fn execute_load(shared: &Arc<Shared>, job: Job) {
-    let req = match &job.work {
-        Work::Load(r) => r.clone(),
-        _ => unreachable!("execute_load is only called for load jobs"),
-    };
+fn execute_load(shared: &Arc<Shared>, job: Job, req: LoadMatrixReq) {
     let built: Result<CscMatrix<f64>, String> = catch_unwind(AssertUnwindSafe(|| {
         if faultkit::armed() && faultkit::fire("svc/dispatch") {
             panic!("fault injected: svc/dispatch");

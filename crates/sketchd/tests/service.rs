@@ -98,8 +98,8 @@ fn sketch_roundtrip_is_bitwise_identical_to_local() {
     server.join();
 }
 
-/// The tentpole end-to-end: concurrent compatible requests are coalesced
-/// into one traversal, and every batched response is bitwise identical to
+/// The batching end-to-end: concurrent compatible requests are coalesced
+/// into one dispatch, and every batched response is bitwise identical to
 /// a sequential local sketch with the same seed.
 #[test]
 fn batched_requests_are_bitwise_and_actually_batch() {

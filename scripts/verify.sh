@@ -27,6 +27,11 @@ done
 echo "== rustfmt check =="
 cargo fmt --all -- --check
 
+echo "== benchmark package (perfbench: build + tests against this checkout's crates) =="
+# perfbench is its own workspace; keep its build output in the ignored
+# .bench_build/ (the directory perfbench/run.sh uses), not perfbench/target/.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== trace smoke (repro --trace-out: balanced Perfetto spans, flamegraph SVG) =="
 TRACE_TMP="$(mktemp /tmp/trace_verify_XXXXXX.json)"
 FOLDED_TMP="$(mktemp /tmp/folded_verify_XXXXXX.txt)"

@@ -7,12 +7,9 @@ use datagen::{abnormal_a, abnormal_c, make_rhs, spmm_suite, uniform_random};
 use lstsq::{
     backward_error, solve_lsqr_d, solve_sap, sparse_qr_solve, LsqrOptions, SapFlavor, SapOptions,
 };
+use parkit::with_threads;
 use rngkit::{FastRng, Rademacher, UnitUniform};
-use sketchcore::parallel::{
-    sketch_alg3_par_cols, sketch_alg3_par_rows, sketch_alg4_par_cols, sketch_alg4_par_rows,
-    with_threads,
-};
-use sketchcore::{sketch_alg3, sketch_alg4, SketchConfig};
+use sketchcore::{sketch, sketch_alg3, sketch_alg4, Alg3, Alg4, Schedule, SketchConfig};
 use sparsekit::BlockedCsr;
 
 fn uni(seed: u64) -> rngkit::DistSampler<UnitUniform<f64>, FastRng> {
@@ -32,15 +29,21 @@ fn every_kernel_and_baseline_computes_the_same_sketch() {
     let s = materialize_s(&sampler, cfg.d, a.nrows(), cfg.b_d);
     let candidates = [
         ("alg4", x4),
-        ("alg3_par_cols", sketch_alg3_par_cols(&a, &cfg, &sampler)),
-        ("alg3_par_rows", sketch_alg3_par_rows(&a, &cfg, &sampler)),
+        (
+            "alg3_par_cols",
+            sketch(Alg3(&a), Schedule::ParCols, &cfg, &sampler),
+        ),
+        (
+            "alg3_par_rows",
+            sketch(Alg3(&a), Schedule::ParRows, &cfg, &sampler),
+        ),
         (
             "alg4_par_cols",
-            sketch_alg4_par_cols(&blocked, &cfg, &sampler),
+            sketch(Alg4(&blocked), Schedule::ParCols, &cfg, &sampler),
         ),
         (
             "alg4_par_rows",
-            sketch_alg4_par_rows(&blocked, &cfg, &sampler),
+            sketch(Alg4(&blocked), Schedule::ParRows, &cfg, &sampler),
         ),
         ("mkl", mkl_style(&a, &s)),
         ("eigen", eigen_style(&a, &s)),
@@ -62,9 +65,10 @@ fn thread_count_never_changes_the_answer() {
     let a = uniform_random::<f64>(2_000, 300, 5e-3, 2);
     let cfg = SketchConfig::new(420, 128, 64, 3);
     let sampler = uni(cfg.seed);
-    let reference = with_threads(1, || sketch_alg3_par_rows(&a, &cfg, &sampler));
+    let par_rows = || sketch(Alg3(&a), Schedule::ParRows, &cfg, &sampler);
+    let reference = with_threads(1, par_rows);
     for t in [2, 3, 8] {
-        let out = with_threads(t, || sketch_alg3_par_rows(&a, &cfg, &sampler));
+        let out = with_threads(t, par_rows);
         assert_eq!(reference, out, "{t} threads changed the sketch");
     }
 }

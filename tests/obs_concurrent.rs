@@ -14,7 +14,7 @@
 
 use obskit::trace::TraceKind;
 use rngkit::{FastRng, UnitUniform};
-use sketchcore::{sketch_alg3, sketch_alg3_par_cols, SketchConfig};
+use sketchcore::{sketch_alg3, sketch_alg3_par_cols, try_sketch, Schedule, SketchConfig};
 
 #[test]
 fn scoped_threads_lose_no_telemetry_and_match_serial() {
@@ -116,7 +116,7 @@ fn scoped_threads_lose_no_telemetry_and_match_serial() {
     obskit::trace::set_enabled(true);
     let _ = obskit::trace::take();
     let res = parkit::with_threads(4, || {
-        sketchcore::try_sketch_alg3_par_cols(&a, &cfg, &sampler)
+        try_sketch(&a, Schedule::ParCols, &cfg, &sampler, true)
     });
     obskit::trace::set_enabled(false);
     let cap = obskit::trace::take();
